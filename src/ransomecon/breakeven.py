@@ -7,7 +7,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .economics import AttackEconomics, Money, Probability, expected_utility
+from .economics import (
+    AttackEconomics,
+    Money,
+    Probability,
+    expected_utility,
+    nonnegative,
+    unit_interval,
+)
 from .errors import (
     GridTooLargeError,
     NotAchievableError,
@@ -38,8 +45,7 @@ def break_even_ransom(cost: Money, p_win: Probability) -> Money:
     Computed as break_even_multiplier(p_win) * cost so the multiplier
     identity holds bit for bit.
     """
-    if cost.amount < 0:
-        raise ValueError(f"cost must be >= 0, got {cost.amount!r}")
+    nonnegative("cost", cost.amount)
     return Money(break_even_multiplier(p_win) * cost.amount)
 
 
@@ -50,8 +56,7 @@ def break_even_pay_probability(cost: Money, ransom: Money, p_success: Probabilit
     cost exceeds the revenue under certain payment, no payment rate in
     [0, 1] breaks even and NotAchievableError is raised.
     """
-    if cost.amount < 0:
-        raise ValueError(f"cost must be >= 0, got {cost.amount!r}")
+    nonnegative("cost", cost.amount)
     denom = p_success.value * ransom.amount
     if denom == 0.0:
         raise ZeroDenominatorError("ransom and success probability must both be positive")
@@ -71,8 +76,7 @@ def break_even_cost(econ: AttackEconomics) -> Money:
 
 def payout_multiple(observed_ransom: Money, cost: Money, p_win: Probability) -> float:
     """How many times over break-even an observed ransom is priced."""
-    if observed_ransom.amount < 0:
-        raise ValueError(f"ransom must be >= 0, got {observed_ransom.amount!r}")
+    nonnegative("ransom", observed_ransom.amount)
     if cost.amount == 0.0:
         raise ZeroCostError("payout multiple is undefined at zero cost")
     return observed_ransom.amount / break_even_ransom(cost, p_win).amount
@@ -80,9 +84,9 @@ def payout_multiple(observed_ransom: Money, cost: Money, p_win: Probability) -> 
 
 def _validate_axis_value(name: str, value: float) -> None:
     if name in ("p_success", "p_pay_given_success"):
-        Probability(value)
-    elif not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} values must be finite and >= 0, got {value!r}")
+        unit_interval(name, value)
+    else:
+        nonnegative(name, value)
 
 
 @dataclass(frozen=True)

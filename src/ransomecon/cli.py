@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import breakeven
 from . import mitigation
-from .economics import Money, Probability, expected_utility
+from .economics import Money, Probability, check_seed, check_trials, expected_utility
 from .errors import (
     GridTooLargeError,
     NotAchievableError,
@@ -34,7 +34,6 @@ from .output import (
 from .scenario import ScenarioFile, SimulationSpec, parse_scenario
 from .simulate import (
     FIGURE1_WIN_PROBS,
-    MAX_SEED,
     TraceSummary,
     replicate_figure1,
     run_trials,
@@ -55,12 +54,9 @@ class _InputError(Exception):
 
 def _seed_value(text: str) -> int:
     try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= value <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text!r}")
-    return value
+        return check_seed(int(text, 0))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: {exc}") from None
 
 
 def _seed_triple(text: str) -> tuple[int, int, int]:
@@ -70,14 +66,11 @@ def _seed_triple(text: str) -> tuple[int, int, int]:
     return tuple(_seed_value(part.strip()) for part in parts)
 
 
-def _positive_int(text: str) -> int:
+def _trial_count(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
-    return value
+        return check_trials(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid trial count {text!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run seeded attack trials and emit a trace CSV")
     sim.add_argument("scenario", type=Path)
-    sim.add_argument("--trials", type=_positive_int, help="overrides [simulation] trials")
+    sim.add_argument("--trials", type=_trial_count, help="overrides [simulation] trials")
     sim.add_argument("--seed", type=_seed_value, help="overrides [simulation] seed")
     sim.add_argument("--out", required=True, help="CSV path, or - for stdout")
 

@@ -12,6 +12,41 @@ import math
 from dataclasses import dataclass
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
+MAX_SEED = 2**64 - 1
+MAX_COUNT = 2**63 - 1  # largest trial or attack count: a signed 64-bit size
+
+
+def unit_interval(name: str, value: float) -> float:
+    """value as a float; ValueError unless it is finite and within [0, 1]."""
+    v = float(value)
+    if not 0.0 <= v <= 1.0:  # also rejects NaN and infinities
+        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+    return v
+
+
+def nonnegative(name: str, value: float) -> float:
+    """value as a float; ValueError unless it is finite and >= 0."""
+    v = float(value)
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+    return v
+
+
+def whole_number(name: str, value, low: int, high: int) -> int:
+    """value as an int; ValueError unless it is a whole number in [low, high]."""
+    if value != int(value) or not low <= value <= high:
+        raise ValueError(f"{name} must be a whole number in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """A generator seed: a whole number that fits in 64 unsigned bits."""
+    return whole_number("seed", seed, 0, MAX_SEED)
+
+
+def check_trials(k) -> int:
+    """A simulated trial count: a positive whole number."""
+    return whole_number("trial count", k, 1, MAX_COUNT)
 
 
 @dataclass(frozen=True)
@@ -21,10 +56,7 @@ class Probability:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise ValueError(f"probability must be within [0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", unit_interval("probability", self.value))
 
     def complement(self) -> Probability:
         return Probability(1.0 - self.value)
@@ -58,8 +90,7 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("product", "initial_access", "loader"):
-            if getattr(self, name).amount < 0:
-                raise ValueError(f"cost component {name!r} must be >= 0")
+            nonnegative(name, getattr(self, name).amount)
 
     def total(self) -> Money:
         return Money(self.product.amount + self.initial_access.amount + self.loader.amount)
@@ -75,8 +106,7 @@ class CostModel:
         A zero-cost model has no proportions to preserve; the target is
         then placed entirely on the product component.
         """
-        if target < 0:
-            raise ValueError(f"cost total must be >= 0, got {target!r}")
+        target = nonnegative("cost total", target)
         current = self.total().amount
         if current == 0.0:
             return CostModel.from_total(target)
@@ -102,8 +132,7 @@ class AttackEconomics:
     p_pay_given_success: Probability
 
     def __post_init__(self):
-        if self.ransom.amount < 0:
-            raise ValueError(f"ransom must be >= 0, got {self.ransom.amount!r}")
+        nonnegative("ransom", self.ransom.amount)
 
     @property
     def p_win(self) -> float:
@@ -144,8 +173,7 @@ class Lottery:
         total = math.fsum(p.value for p in probs)
         if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        if self.entry_cost.amount < 0:
-            raise ValueError(f"entry cost must be >= 0, got {self.entry_cost.amount!r}")
+        nonnegative("entry cost", self.entry_cost.amount)
 
     @classmethod
     def from_attack(cls, econ: AttackEconomics) -> Lottery:

@@ -13,15 +13,17 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .economics import AttackEconomics, Money, Probability, expected_utility
+from .economics import (
+    MAX_COUNT,
+    AttackEconomics,
+    Money,
+    Probability,
+    expected_utility,
+    nonnegative,
+    unit_interval,
+    whole_number,
+)
 from .errors import NotAchievableError, ZeroDenominatorError
-
-
-def _unit_interval(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class AttackSuccessReduction:
     reduction: float
 
     def __post_init__(self):
-        object.__setattr__(self, "reduction", _unit_interval("reduction", self.reduction))
+        object.__setattr__(self, "reduction", unit_interval("reduction", self.reduction))
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class DecrypterAvailability:
     coverage: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coverage", _unit_interval("coverage", self.coverage))
+        object.__setattr__(self, "coverage", unit_interval("coverage", self.coverage))
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,9 @@ class BackupAdoption:
     effectiveness: float
 
     def __post_init__(self):
-        object.__setattr__(self, "adoption", _unit_interval("adoption", self.adoption))
+        object.__setattr__(self, "adoption", unit_interval("adoption", self.adoption))
         object.__setattr__(
-            self, "effectiveness", _unit_interval("effectiveness", self.effectiveness)
+            self, "effectiveness", unit_interval("effectiveness", self.effectiveness)
         )
 
 
@@ -91,13 +93,7 @@ def _pay_factor(action: MitigationAction) -> float:
 
 def apply_action(econ: AttackEconomics, action: MitigationAction) -> AttackEconomics:
     """One action applied to the economics; insurance is the exact identity."""
-    if isinstance(action, CyberInsurance):
-        return econ
-    return replace(
-        econ,
-        p_success=Probability(econ.p_success.value * _success_factor(action)),
-        p_pay_given_success=Probability(econ.p_pay_given_success.value * _pay_factor(action)),
-    )
+    return apply_portfolio(econ, (action,))
 
 
 def apply_portfolio(
@@ -128,12 +124,8 @@ class AnnualizationInputs:
     salary_threshold: Money
 
     def __post_init__(self):
-        if self.attacks_per_year != int(self.attacks_per_year) or self.attacks_per_year < 0:
-            raise ValueError(
-                f"attacks_per_year must be a nonnegative integer, got {self.attacks_per_year!r}"
-            )
-        if self.salary_threshold.amount < 0:
-            raise ValueError("salary_threshold must be >= 0")
+        whole_number("attacks_per_year", self.attacks_per_year, 0, MAX_COUNT)
+        nonnegative("salary_threshold", self.salary_threshold.amount)
 
 
 @dataclass(frozen=True)

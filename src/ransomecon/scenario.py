@@ -34,7 +34,10 @@ lines, and comments (`#` starts a comment anywhere on a line):
 Numbers are plain decimals with an optional fraction (no exponents, no
 locale separators); integer-valued keys take bare integers. Sweep axes
 take either an explicit value list `{v1, v2, ...}` or an inclusive
-range `start:stop:step` with a positive step. Mitigation actions are
+range `start:stop:step` with a positive step, whose values are
+`start + i*step` computed exactly in decimal and then rounded to
+binary64. The product of the axis lengths is held to the sweep cell
+cap before any range is expanded. Mitigation actions are
 `Kind(param=value, ...)` with kinds AttackSuccessReduction(reduction),
 DecrypterAvailability(coverage), BackupAdoption(adoption,
 effectiveness), and CyberInsurance(); single-letter aliases r, d, a, e
@@ -48,17 +51,28 @@ not constants; every other economics key is always required.
 
 Parsing is strict: unknown sections or keys, duplicates, and malformed
 or out-of-range values are errors, and every error carries a 1-based
-line and column.
+line and column. The parser checks only the grammar; each value is
+then built by the type that owns its range rule, and a ValueError from
+that type is reported at the entry's value.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Optional
+from decimal import MAX_PREC, Context, Decimal
+from typing import Callable, Iterable, Optional, TypeVar
 
-from .economics import AttackEconomics, CostModel, Money, Probability
+from .breakeven import DEFAULT_CELL_CAP, SweepGrid
+from .economics import (
+    AttackEconomics,
+    CostModel,
+    Money,
+    Probability,
+    check_seed,
+    check_trials,
+    nonnegative,
+)
 from .errors import (
     DuplicateKeyError,
     ScenarioSyntaxError,
@@ -77,14 +91,13 @@ from .mitigation import (
 DEFAULT_P_SUCCESS = 0.54
 DEFAULT_P_PAY_GIVEN_SUCCESS = 0.56
 
-MAX_SEED = 2**64 - 1
-MAX_AXIS_VALUES = 10_000_000
-
 _SECTION_RE = re.compile(r"\[([^\[\]]*)\]\Z")
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?\Z")
 _SIGNED_INT_RE = re.compile(r"-?\d+\Z")
 _ACTION_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\((.*)\)\Z")
+
+_EXACT = Context(prec=MAX_PREC)  # decimal arithmetic that never rounds
 
 _SECTIONS = ("economics", "simulation", "sweep", "mitigation", "annualization", "defaults")
 _ECONOMICS_KEYS = (
@@ -100,24 +113,24 @@ _ANNUALIZATION_KEYS = ("attacks_per_year", "salary_threshold")
 _DEFAULTS_KEYS = ("paper",)
 _AXIS_TARGETS = ("ransom", "cost_total", "p_success", "p_pay_given_success")
 
-# kind -> (alias -> canonical), required canonical params, constructor
+# kind -> (alias -> canonical), required canonical params, action type
 _ACTION_KINDS = {
     "AttackSuccessReduction": (
         {"r": "reduction", "reduction": "reduction"},
         ("reduction",),
-        lambda params: AttackSuccessReduction(**params),
+        AttackSuccessReduction,
     ),
     "DecrypterAvailability": (
         {"d": "coverage", "coverage": "coverage"},
         ("coverage",),
-        lambda params: DecrypterAvailability(**params),
+        DecrypterAvailability,
     ),
     "BackupAdoption": (
         {"a": "adoption", "adoption": "adoption", "e": "effectiveness", "effectiveness": "effectiveness"},
         ("adoption", "effectiveness"),
-        lambda params: BackupAdoption(**params),
+        BackupAdoption,
     ),
-    "CyberInsurance": ({}, (), lambda params: CyberInsurance()),
+    "CyberInsurance": ({}, (), CyberInsurance),
 }
 
 
@@ -150,6 +163,18 @@ class _Entry:
     value_column: int
 
 
+_T = TypeVar("_T")
+
+
+def _owned(key: str, entry: _Entry, build: Callable[[], _T]) -> _T:
+    """Run build(), which makes the entry's value through the type that owns
+    its range rule; a ValueError from it is reported at the entry's value."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ScenarioValidationError(entry.line, entry.value_column, f"{key}: {exc}") from None
+
+
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document.
 
@@ -161,7 +186,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     paper_defaults = _build_defaults(sections)
     economics = _build_economics(sections, section_lines, paper_defaults)
     simulation = _build_simulation(sections) if "simulation" in sections else None
-    sweep_axes = _build_sweep(sections) if "sweep" in sections else None
+    sweep_axes = _build_sweep(sections, economics) if "sweep" in sections else None
     mitigation = _build_mitigation(sections) if "mitigation" in sections else None
     annualization = (
         _build_annualization(sections, section_lines) if "annualization" in sections else None
@@ -272,7 +297,7 @@ def _parse_number(key: str, entry: _Entry) -> float:
     return float(entry.value)
 
 
-def _parse_int(key: str, entry: _Entry, minimum: int, maximum: int) -> int:
+def _parse_int(key: str, entry: _Entry) -> int:
     if _SIGNED_INT_RE.match(entry.value) is None:
         if _NUMBER_RE.match(entry.value) is not None:
             raise ScenarioValidationError(
@@ -281,34 +306,11 @@ def _parse_int(key: str, entry: _Entry, minimum: int, maximum: int) -> int:
         raise ScenarioSyntaxError(
             entry.line, entry.value_column, f"{key}: expected an integer, got {entry.value!r}"
         )
-    value = int(entry.value)
-    if not minimum <= value <= maximum:
-        raise ScenarioValidationError(
-            entry.line,
-            entry.value_column,
-            f"{key} must be between {minimum} and {maximum}, got {value}",
-        )
-    return value
+    return int(entry.value)
 
 
-def _parse_money(key: str, entry: _Entry, allow_negative: bool = False) -> float:
-    value = _parse_number(key, entry)
-    if value < 0 and not allow_negative:
-        raise ScenarioValidationError(
-            entry.line, entry.value_column, f"{key} must be >= 0, got {entry.value}"
-        )
-    return value
-
-
-def _parse_probability(key: str, entry: _Entry) -> float:
-    value = _parse_number(key, entry)
-    if not 0.0 <= value <= 1.0:
-        raise ScenarioValidationError(
-            entry.line,
-            entry.value_column,
-            f"{key}: probability must be within [0, 1], got {entry.value}",
-        )
-    return value
+def _money(key: str, entry: _Entry) -> Money:
+    return _owned(key, entry, lambda: Money(nonnegative(key, _parse_number(key, entry))))
 
 
 def _parse_bool(key: str, entry: _Entry) -> bool:
@@ -343,47 +345,54 @@ def _build_economics(
             )
         return entries[key]
 
-    ransom = _parse_money("ransom", need("ransom"))
-    product = _parse_money("cost.product", need("cost.product"))
-    access = _parse_money("cost.access", need("cost.access"))
-    loader = _parse_money("cost.loader", need("cost.loader"))
-    if "p_success" in entries:
-        p_success = _parse_probability("p_success", entries["p_success"])
-    elif paper_defaults:
-        p_success = DEFAULT_P_SUCCESS
-    else:
-        raise ScenarioValidationError(
-            section_line, 1, "missing required key 'p_success' in [economics]"
-        )
-    if "p_pay_given_success" in entries:
-        p_pay = _parse_probability("p_pay_given_success", entries["p_pay_given_success"])
-    elif paper_defaults:
-        p_pay = DEFAULT_P_PAY_GIVEN_SUCCESS
-    else:
-        raise ScenarioValidationError(
-            section_line, 1, "missing required key 'p_pay_given_success' in [economics]"
-        )
+    def probability(key: str, default: float) -> Probability:
+        if key not in entries and paper_defaults:
+            return Probability(default)
+        entry = need(key)
+        return _owned(key, entry, lambda: Probability(_parse_number(key, entry)))
+
     return AttackEconomics(
-        ransom=Money(ransom),
-        cost=CostModel(Money(product), Money(access), Money(loader)),
-        p_success=Probability(p_success),
-        p_pay_given_success=Probability(p_pay),
+        ransom=_money("ransom", need("ransom")),
+        cost=CostModel(
+            _money("cost.product", need("cost.product")),
+            _money("cost.access", need("cost.access")),
+            _money("cost.loader", need("cost.loader")),
+        ),
+        p_success=probability("p_success", DEFAULT_P_SUCCESS),
+        p_pay_given_success=probability("p_pay_given_success", DEFAULT_P_PAY_GIVEN_SUCCESS),
     )
 
 
 def _build_simulation(sections: dict[str, dict[str, _Entry]]) -> SimulationSpec:
     entries = sections["simulation"]
-    trials = _parse_int("trials", entries["trials"], 1, 2**63 - 1) if "trials" in entries else None
-    seed = _parse_int("seed", entries["seed"], 0, MAX_SEED) if "seed" in entries else None
-    b0 = (
-        Money(_parse_money("b0", entries["b0"], allow_negative=True))
-        if "b0" in entries
-        else None
+
+    def owned(key: str, build: Callable[[_Entry], _T]) -> Optional[_T]:
+        entry = entries.get(key)
+        return None if entry is None else _owned(key, entry, lambda: build(entry))
+
+    return SimulationSpec(
+        trials=owned("trials", lambda e: check_trials(_parse_int("trials", e))),
+        seed=owned("seed", lambda e: check_seed(_parse_int("seed", e))),
+        b0=owned("b0", lambda e: Money(_parse_number("b0", e))),
     )
-    return SimulationSpec(trials=trials, seed=seed, b0=b0)
 
 
-def _parse_axis_values(key: str, entry: _Entry) -> tuple[float, ...]:
+def _parse_decimals(key: str, entry: _Entry, parts: list[str], form: str) -> list[Decimal]:
+    numbers = []
+    for part in parts:
+        part = part.strip()
+        if _NUMBER_RE.match(part) is None:
+            raise ScenarioSyntaxError(
+                entry.line,
+                entry.value_column,
+                f"{key}: expected a decimal number in {form}, got {part!r}",
+            )
+        numbers.append(Decimal(part))
+    return numbers
+
+
+def _parse_axis_values(key: str, entry: _Entry) -> tuple[int, Iterable[float]]:
+    """The axis's value count and its values; a range is expanded lazily."""
     value = entry.value
     if value.startswith("{"):
         if not value.endswith("}"):
@@ -395,34 +404,15 @@ def _parse_axis_values(key: str, entry: _Entry) -> tuple[float, ...]:
             raise ScenarioValidationError(
                 entry.line, entry.value_column, f"{key}: axis needs at least one value"
             )
-        values = []
-        for part in inner.split(","):
-            part = part.strip()
-            if _NUMBER_RE.match(part) is None:
-                raise ScenarioSyntaxError(
-                    entry.line,
-                    entry.value_column,
-                    f"{key}: expected a decimal number in list, got {part!r}",
-                )
-            values.append(float(part))
-        return tuple(values)
+        values = [float(d) for d in _parse_decimals(key, entry, inner.split(","), "list")]
+        return len(values), values
     if ":" in value:
         parts = value.split(":")
         if len(parts) != 3:
             raise ScenarioSyntaxError(
                 entry.line, entry.value_column, f"{key}: range must be start:stop:step"
             )
-        numbers = []
-        for part in parts:
-            part = part.strip()
-            if _NUMBER_RE.match(part) is None:
-                raise ScenarioSyntaxError(
-                    entry.line,
-                    entry.value_column,
-                    f"{key}: expected a decimal number in range, got {part!r}",
-                )
-            numbers.append(float(part))
-        start, stop, step = numbers
+        start, stop, step = _parse_decimals(key, entry, parts, "range")
         if step <= 0:
             raise ScenarioValidationError(
                 entry.line, entry.value_column, f"{key}: range step must be > 0"
@@ -431,12 +421,8 @@ def _parse_axis_values(key: str, entry: _Entry) -> tuple[float, ...]:
             raise ScenarioValidationError(
                 entry.line, entry.value_column, f"{key}: range start must be <= stop"
             )
-        count = int((stop - start) / step + 1e-9) + 1
-        if count > MAX_AXIS_VALUES:
-            raise ScenarioValidationError(
-                entry.line, entry.value_column, f"{key}: range produces {count} values"
-            )
-        return tuple(start + i * step for i in range(count))
+        count = int(_EXACT.divide_int(_EXACT.subtract(stop, start), step)) + 1
+        return count, (float(_EXACT.fma(i, step, start)) for i in range(count))
     raise ScenarioSyntaxError(
         entry.line,
         entry.value_column,
@@ -445,24 +431,22 @@ def _parse_axis_values(key: str, entry: _Entry) -> tuple[float, ...]:
 
 
 def _build_sweep(
-    sections: dict[str, dict[str, _Entry]]
+    sections: dict[str, dict[str, _Entry]], base: AttackEconomics
 ) -> tuple[tuple[str, tuple[float, ...]], ...]:
     axes = []
+    cells = 1
     for key, entry in sections["sweep"].items():
         target = key[len("axis."):]
-        values = _parse_axis_values(key, entry)
-        for v in values:
-            if target in ("p_success", "p_pay_given_success") and not 0.0 <= v <= 1.0:
-                raise ScenarioValidationError(
-                    entry.line,
-                    entry.value_column,
-                    f"{key}: probability must be within [0, 1], got {v!r}",
-                )
-            if target in ("ransom", "cost_total") and v < 0:
-                raise ScenarioValidationError(
-                    entry.line, entry.value_column, f"{key}: {target} must be >= 0, got {v!r}"
-                )
-        axes.append((target, values))
+        count, values = _parse_axis_values(key, entry)
+        cells *= count
+        if cells > DEFAULT_CELL_CAP:
+            raise ScenarioValidationError(
+                entry.line,
+                entry.value_column,
+                f"{key}: sweep grid exceeds the cap of {DEFAULT_CELL_CAP} cells",
+            )
+        grid = _owned(key, entry, lambda: SweepGrid(((target, tuple(values)),), base))
+        axes.append(grid.axes[0])
     return tuple(axes)
 
 
@@ -479,7 +463,7 @@ def _parse_action(key: str, entry: _Entry) -> MitigationAction:
             entry.value_column,
             f"{key}: unknown action kind {kind!r}; expected one of {', '.join(_ACTION_KINDS)}",
         )
-    aliases, required, build = _ACTION_KINDS[kind]
+    aliases, required, action_type = _ACTION_KINDS[kind]
     params: dict[str, float] = {}
     if arg_text:
         for part in arg_text.split(","):
@@ -510,14 +494,7 @@ def _parse_action(key: str, entry: _Entry) -> MitigationAction:
                     entry.value_column,
                     f"{key}: expected a decimal number for {name!r}, got {value!r}",
                 )
-            number = float(value)
-            if not 0.0 <= number <= 1.0:
-                raise ScenarioValidationError(
-                    entry.line,
-                    entry.value_column,
-                    f"{key}: {canonical} must be within [0, 1], got {value}",
-                )
-            params[canonical] = number
+            params[canonical] = float(value)
     missing = [name for name in required if name not in params]
     if missing:
         raise ScenarioValidationError(
@@ -525,7 +502,7 @@ def _parse_action(key: str, entry: _Entry) -> MitigationAction:
             entry.value_column,
             f"{key}: {kind} requires {', '.join(missing)}",
         )
-    return build(params)
+    return _owned(key, entry, lambda: action_type(**params))
 
 
 def _build_mitigation(
@@ -549,9 +526,10 @@ def _build_annualization(
             raise ScenarioValidationError(
                 section_line, 1, f"missing required key {key!r} in [annualization]"
             )
-    attacks = _parse_int("attacks_per_year", entries["attacks_per_year"], 0, 2**63 - 1)
-    salary = _parse_money("salary_threshold", entries["salary_threshold"])
-    return AnnualizationInputs(attacks_per_year=attacks, salary_threshold=Money(salary))
+    entry = entries["attacks_per_year"]
+    attacks = _owned("attacks_per_year", entry, lambda: _parse_int("attacks_per_year", entry))
+    salary = _money("salary_threshold", entries["salary_threshold"])
+    return _owned("attacks_per_year", entry, lambda: AnnualizationInputs(attacks, salary))
 
 
 def _format_number(x: float) -> str:

@@ -16,21 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .economics import AttackEconomics, CostModel, Money, Probability
-
-MAX_SEED = 2**64 - 1
+from .economics import AttackEconomics, CostModel, Money, Probability, check_seed, check_trials
 
 FIGURE1_RANSOM = 170404.0
 FIGURE1_COST = CostModel(Money(3000.0), Money(400.0), Money(800.0))
 FIGURE1_WIN_PROBS = (0.1, 0.3024, 0.5)
 FIGURE1_TRIALS = 1000
-
-
-def _check_seed(seed) -> None:
-    if seed != int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -39,7 +30,7 @@ def _generator(seed: int) -> np.random.Generator:
 
 def derive_seed(master_seed: int, stream: int) -> int:
     """Mix (master seed, stream index) into an independent 64-bit seed."""
-    _check_seed(master_seed)
+    check_seed(master_seed)
     if stream != int(stream) or stream < 0:
         raise ValueError(f"stream index must be a nonnegative integer, got {stream!r}")
     sequence = np.random.SeedSequence([int(master_seed), int(stream)])
@@ -86,18 +77,16 @@ def run_trials(econ: AttackEconomics, k: int, *, seed: int, b0: Money = Money(0.
     Identical (econ, k, b0, seed) always produces an identical trace,
     independent of platform or scheduling.
     """
-    if k != int(k) or k < 1:
-        raise ValueError(f"trial count must be a positive integer, got {k!r}")
-    _check_seed(seed)
-    rng = _generator(seed)
-    draws = rng.random(int(k))
+    k = check_trials(k)
+    seed = check_seed(seed)
+    draws = _generator(seed).random(k)
     outcomes = draws < econ.p_win
     cost = econ.cost.total().amount
     profits = np.where(outcomes, econ.ransom.amount - cost, -cost)
     bank_series = b0.amount + np.cumsum(profits)
     outcomes.flags.writeable = False
     bank_series.flags.writeable = False
-    return TrialTrace(seed=int(seed), econ=econ, b0=b0, outcomes=outcomes, bank_series=bank_series)
+    return TrialTrace(seed=seed, econ=econ, b0=b0, outcomes=outcomes, bank_series=bank_series)
 
 
 @dataclass(frozen=True)

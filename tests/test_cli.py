@@ -73,6 +73,11 @@ class TestEv:
         assert captured.out == ""
         assert "line 6" in captured.err
 
+    def test_overflowing_literal_exits_2_with_position(self, scenario, capsys):
+        bad = scenario(REFERENCE_DOC.replace("ransom = 170404", "ransom = 1" + "0" * 400))
+        assert main(["ev", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2, column 10: ransom: ")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["ev", str(tmp_path / "nope.txt")]) == 2
         assert "cannot read scenario" in capsys.readouterr().err

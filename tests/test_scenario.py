@@ -392,3 +392,65 @@ class TestWriteScenario:
             )
         )
         assert parse_scenario(write_scenario(scenario)) == scenario
+
+
+OVERFLOW = "1" + "0" * 400  # a valid decimal literal that converts to inf
+
+
+def _economics_with(old: str, new: str) -> str:
+    return REFERENCE_DOC.replace(old, new)
+
+
+def _plus(section: str) -> str:
+    return REFERENCE_DOC + "\n" + section
+
+
+RANGE_ERRORS = [
+    ("p_success", _economics_with("p_success = 0.54", "p_success = 1.5"), 6, 13),
+    ("cost.product", _economics_with("cost.product = 3000", "cost.product = -1"), 3, 16),
+    ("axis.ransom", _plus("[sweep]\naxis.ransom = {1, -2}\n"), 10, 15),
+    ("action.1", _plus("[mitigation]\naction.1 = AttackSuccessReduction(r=2)\n"), 10, 12),
+    ("seed", _plus(f"[simulation]\nseed = {2**64}\n"), 10, 8),
+    ("trials", _plus("[simulation]\ntrials = 0\n"), 10, 10),
+    (
+        "attacks_per_year",
+        _plus("[annualization]\nattacks_per_year = -1\nsalary_threshold = 1\n"),
+        10,
+        20,
+    ),
+    ("ransom", _economics_with("ransom = 170404", f"ransom = {OVERFLOW}"), 2, 10),
+    ("cost.access", _economics_with("cost.access = 400", f"cost.access = {OVERFLOW}"), 4, 15),
+    ("b0", _plus(f"[simulation]\nb0 = {OVERFLOW}\n"), 10, 6),
+    (
+        "salary_threshold",
+        _plus(f"[annualization]\nattacks_per_year = 1\nsalary_threshold = {OVERFLOW}\n"),
+        11,
+        20,
+    ),
+    ("axis.cost_total", _plus(f"[sweep]\naxis.cost_total = {{1, {OVERFLOW}}}\n"), 10, 19),
+]
+
+
+class TestDomainRangeErrors:
+    """Range rules live in the domain types; the parser reports them in place."""
+
+    @pytest.mark.parametrize(
+        "key,doc,line,column", RANGE_ERRORS, ids=[case[0] for case in RANGE_ERRORS]
+    )
+    def test_range_error_position(self, key, doc, line, column):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(doc)
+        assert type(info.value) is ScenarioValidationError
+        assert (info.value.line, info.value.column) == (line, column)
+        assert info.value.message.startswith(f"{key}: ")
+
+    def test_range_ends_on_exact_stop(self):
+        values = parse_scenario(_plus("[sweep]\naxis.p_success = 0.09:1:0.07\n")).sweep_axes[0][1]
+        assert len(values) == 14
+        assert values[-1] == 1.0
+
+    def test_grid_cap_checked_before_expansion(self):
+        doc = _plus("[sweep]\naxis.ransom = 0:9999:1\naxis.cost_total = 0:9999:1\n")
+        with pytest.raises(ScenarioValidationError, match="cells") as info:
+            parse_scenario(doc)
+        assert (info.value.line, info.value.column) == (11, 19)
