@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Mapping
 
 from .economics import (
     AttackEconomics,
     Money,
     Probability,
-    expected_utility,
+    expected_value,
     nonnegative,
     unit_interval,
 )
@@ -23,7 +24,10 @@ from .errors import (
     ZeroProbabilityError,
 )
 
+# The parameters a sweep may vary, in the argument order of expected_value;
+# the money ones must be >= 0, the rest are probabilities.
 SWEEPABLE_PARAMETERS = ("ransom", "cost_total", "p_success", "p_pay_given_success")
+MONEY_PARAMETERS = ("ransom", "cost_total")
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -82,13 +86,6 @@ def payout_multiple(observed_ransom: Money, cost: Money, p_win: Probability) -> 
     return observed_ransom.amount / break_even_ransom(cost, p_win).amount
 
 
-def _validate_axis_value(name: str, value: float) -> None:
-    if name in ("p_success", "p_pay_given_success"):
-        unit_interval(name, value)
-    else:
-        nonnegative(name, value)
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """A cartesian grid of parameter overrides around a base economics.
@@ -114,8 +111,9 @@ class SweepGrid:
             seen.add(name)
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
+            check = nonnegative if name in MONEY_PARAMETERS else unit_interval
             for v in values:
-                _validate_axis_value(name, v)
+                check(name, v)
 
     @property
     def cells(self) -> int:
@@ -130,78 +128,68 @@ class SweepRow:
     expected_value: Money
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """All rows of an evaluated grid, plus the grid for reconstruction."""
-
-    grid: SweepGrid
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def swept_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.grid.axes)
-
-
-def apply_assignment(base: AttackEconomics, overrides: Mapping[str, float]) -> AttackEconomics:
-    """Base economics with the named parameters replaced.
-
-    Cost overrides are absolute totals; the base decomposition is
-    rescaled proportionally to hit them.
-    """
-    econ = base
-    for name, value in overrides.items():
-        if name == "ransom":
-            econ = replace(econ, ransom=Money(value))
-        elif name == "cost_total":
-            econ = replace(econ, cost=base.cost.scaled_to_total(value))
-        elif name == "p_success":
-            econ = replace(econ, p_success=Probability(value))
-        elif name == "p_pay_given_success":
-            econ = replace(econ, p_pay_given_success=Probability(value))
-        else:
-            raise ValueError(f"unknown sweep parameter {name!r}")
-    return econ
-
-
-def _full_assignment(base: AttackEconomics, overrides: Mapping[str, float]) -> dict[str, float]:
-    assignment = {
+def _base_assignment(base: AttackEconomics) -> dict[str, float]:
+    return {
         "ransom": base.ransom.amount,
         "cost_total": base.cost.total().amount,
         "p_success": base.p_success.value,
         "p_pay_given_success": base.p_pay_given_success.value,
     }
-    assignment.update(overrides)
-    return assignment
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """The expected value of every grid cell, row-major, plus the grid."""
+
+    grid: SweepGrid
+    expected_values: tuple[float, ...]
+
+    @property
+    def swept_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.grid.axes)
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One SweepRow per cell, built on each access from the grid."""
+        base = _base_assignment(self.grid.base)
+        names = self.swept_names
+        combos = itertools.product(*(values for _, values in self.grid.axes))
+        return tuple(
+            SweepRow({**base, **dict(zip(names, combo))}, Money(ev))
+            for combo, ev in zip(combos, self.expected_values)
+        )
 
 
 def run_sweep(grid: SweepGrid, cell_cap: int = DEFAULT_CELL_CAP) -> SweepResult:
     """Evaluate expected utility at every cell of the grid.
 
-    Rows come out row-major in declared axis order (first axis slowest),
-    so the output is deterministic for a given grid.
+    Values come out row-major in declared axis order (first axis
+    slowest), so the output is deterministic for a given grid. Each axis
+    value is resolved to its formula operand once; a cell is then one
+    call of the shared expected-value arithmetic.
     """
     if grid.cells > cell_cap:
         raise GridTooLargeError(f"grid has {grid.cells} cells, cap is {cell_cap}")
-    names = [name for name, _ in grid.axes]
-    value_lists = [values for _, values in grid.axes]
-    rows = []
-    for combo in itertools.product(*value_lists):
-        overrides = dict(zip(names, combo))
-        econ = apply_assignment(grid.base, overrides)
-        rows.append(
-            SweepRow(
-                assignment=_full_assignment(grid.base, overrides),
-                expected_value=expected_utility(econ),
-            )
-        )
-    return SweepResult(grid=grid, rows=tuple(rows))
+    operands = {name: (value,) for name, value in _base_assignment(grid.base).items()}
+    for name, values in grid.axes:
+        if name == "cost_total":  # a cell reads the rescaled components' sum, rounding included
+            values = tuple(grid.base.cost.scaled_to_total(v).total().amount for v in values)
+        operands[name] = values
+    swept = [name for name, _ in grid.axes]
+    order = swept + [name for name in SWEEPABLE_PARAMETERS if name not in swept]
+    in_formula_order = operator.itemgetter(*(order.index(n) for n in SWEEPABLE_PARAMETERS))
+    cells = itertools.product(*(operands[name] for name in order))
+    return SweepResult(
+        grid=grid,
+        expected_values=tuple(expected_value(*in_formula_order(cell)) for cell in cells),
+    )
 
 
 def reevaluate_row(result: SweepResult, row: SweepRow) -> Money:
     """Recompute a row's expected value from its stored assignment.
 
-    Follows the same code path as run_sweep, so the result is identical
-    bit for bit; use it to audit a SweepResult.
+    Evaluates a one-cell grid of the whole assignment through run_sweep,
+    so the result is identical bit for bit; use it to audit a SweepResult.
     """
-    econ = apply_assignment(result.grid.base, dict(row.assignment))
-    return expected_utility(econ)
+    axes = tuple((name, (value,)) for name, value in row.assignment.items())
+    return Money(run_sweep(SweepGrid(axes, result.grid.base)).expected_values[0])

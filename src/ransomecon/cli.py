@@ -10,6 +10,7 @@ never interleave.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -127,11 +128,23 @@ def _read_scenario(path: Path) -> ScenarioFile:
     return parse_scenario(text)
 
 
-def _write_output(text: str, out: str) -> None:
+def _write_output(text: str, out: str | Path) -> None:
+    """Write text to stdout for '-', or to the path through a temp file moved
+    into place: a failed write leaves the old file, or none, and no temp file."""
     if out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        return
+    path = Path(out).resolve()  # through a symlink, as a plain write would go
+    if path.exists() and not path.is_file():  # a device or pipe cannot be replaced
+        path.write_text(text, encoding="utf-8", newline="")
+        return
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8", newline="")  # mode from the umask, as the target's
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _report_stream(out: str):
@@ -208,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = breakeven.SweepGrid(axes=scenario.sweep_axes, base=scenario.economics)
     result = breakeven.run_sweep(grid)
     _write_output(write_sweep_csv(result), args.out)
-    print(f"rows = {len(result.rows)}", file=_report_stream(args.out))
+    print(f"rows = {len(result.expected_values)}", file=_report_stream(args.out))
     return EXIT_OK
 
 
@@ -240,7 +253,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     traces = replicate_figure1(args.seeds)
     for p, trace in zip(FIGURE1_WIN_PROBS, traces):
         path = out_dir / f"figure1_p{p:g}.csv"
-        path.write_text(write_trace_csv(trace), encoding="utf-8", newline="")
+        _write_output(write_trace_csv(trace), path)
         summary = summarize(trace)
         print(
             f"p = {format_probability(p)} seed = {trace.seed} "
@@ -267,10 +280,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (_InputError, GridTooLargeError, ValueError) as exc:
+    except (ScenarioError, _InputError, GridTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotAchievableError, ZeroProbabilityError, ZeroDenominatorError, ZeroCostError) as exc:

@@ -186,9 +186,19 @@ class Lottery:
         )
 
 
+def expected_value(ransom: float, cost: float, p_success: float, p_pay: float) -> float:
+    """Mean profit of one attack on bare floats: p_success * p_pay * ransom - cost.
+
+    The one definition of the expected-value arithmetic; expected_utility
+    and the sweep both call it, so their results agree bit for bit.
+    """
+    return p_success * p_pay * ransom - cost
+
+
 def expected_utility(econ: AttackEconomics) -> Money:
     """Mean profit of one attack: joint win probability times ransom, minus cost."""
-    return Money(econ.p_win * econ.ransom.amount - econ.cost.total().amount)
+    ransom, cost = econ.ransom.amount, econ.cost.total().amount
+    return Money(expected_value(ransom, cost, econ.p_success.value, econ.p_pay_given_success.value))
 
 
 def lottery_expected_utility(lot: Lottery) -> Money:

@@ -9,16 +9,15 @@ platforms for equal inputs; lines end with a bare newline.
 
 from __future__ import annotations
 
+import itertools
 from decimal import ROUND_HALF_UP, Decimal
 
-from .breakeven import SweepResult
+from .breakeven import MONEY_PARAMETERS, SweepResult
 from .simulate import TrialTrace
 
 _CENT = Decimal("0.01")
 _MICRO = Decimal("0.000001")
 _TENTH_MILLI = Decimal("0.0001")
-
-_MONEY_PARAMETERS = frozenset({"ransom", "cost_total"})
 
 
 def _quantize(value: float, unit: Decimal) -> str:
@@ -59,18 +58,14 @@ def write_sweep_csv(result: SweepResult) -> str:
     """CSV of a sweep: one column per swept parameter, then expected_value.
 
     Rows keep the deterministic row-major order of the result. Money
-    columns use two decimals, probability columns six.
+    columns use two decimals, probability columns six; each axis value
+    is formatted once and its text reused in every row.
     """
-    names = result.swept_names
-    lines = [",".join(list(names) + ["expected_value"])]
-    for row in result.rows:
-        cells = []
-        for name in names:
-            value = row.assignment[name]
-            if name in _MONEY_PARAMETERS:
-                cells.append(format_money(value))
-            else:
-                cells.append(format_probability(value))
-        cells.append(format_money(row.expected_value.amount))
-        lines.append(",".join(cells))
+    columns = [
+        tuple(map(format_money if name in MONEY_PARAMETERS else format_probability, values))
+        for name, values in result.grid.axes
+    ]
+    lines = [",".join(result.swept_names + ("expected_value",))]
+    for cells, ev in zip(itertools.product(*columns), result.expected_values):
+        lines.append(",".join(cells + (format_money(ev),)))
     return "\n".join(lines) + "\n"

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from decimal import MAX_PREC, Context, Decimal
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .breakeven import DEFAULT_CELL_CAP, SweepGrid
+from .breakeven import DEFAULT_CELL_CAP, SWEEPABLE_PARAMETERS, SweepGrid
 from .economics import (
     AttackEconomics,
     CostModel,
@@ -108,10 +108,14 @@ _ECONOMICS_KEYS = (
     "p_success",
     "p_pay_given_success",
 )
-_SIMULATION_KEYS = ("trials", "seed", "b0")
 _ANNUALIZATION_KEYS = ("attacks_per_year", "salary_threshold")
-_DEFAULTS_KEYS = ("paper",)
-_AXIS_TARGETS = ("ransom", "cost_total", "p_success", "p_pay_given_success")
+# the keys of each section with a fixed key set; [sweep] and [mitigation] keys follow patterns
+_FIXED_KEYS = {
+    "economics": _ECONOMICS_KEYS,
+    "simulation": ("trials", "seed", "b0"),
+    "annualization": _ANNUALIZATION_KEYS,
+    "defaults": ("paper",),
+}
 
 # kind -> (alias -> canonical), required canonical params, action type
 _ACTION_KINDS = {
@@ -251,41 +255,30 @@ def _scan(text: str) -> tuple[dict[str, dict[str, _Entry]], dict[str, int]]:
 
 
 def _check_key_allowed(section: str, key: str, lineno: int, column: int) -> None:
-    if section == "economics":
-        allowed = _ECONOMICS_KEYS
-    elif section == "simulation":
-        allowed = _SIMULATION_KEYS
-    elif section == "annualization":
-        allowed = _ANNUALIZATION_KEYS
-    elif section == "defaults":
-        allowed = _DEFAULTS_KEYS
-    elif section == "sweep":
+    if section == "sweep":
         if not key.startswith("axis."):
             raise UnknownKeyError(
                 lineno, column, f"unknown key {key!r} in [sweep]; expected axis.<parameter>"
             )
         target = key[len("axis."):]
-        if target not in _AXIS_TARGETS:
+        if target not in SWEEPABLE_PARAMETERS:
             raise UnknownKeyError(
                 lineno,
                 column,
-                f"unknown sweep axis {target!r}; expected one of {', '.join(_AXIS_TARGETS)}",
+                f"unknown sweep axis {target!r}; "
+                f"expected one of {', '.join(SWEEPABLE_PARAMETERS)}",
             )
-        return
     elif section == "mitigation":
         if not key.startswith("action."):
             raise UnknownKeyError(
                 lineno, column, f"unknown key {key!r} in [mitigation]; expected action.<index>"
             )
         index = key[len("action."):]
-        if not index.isdigit() or int(index) < 1:
+        if not index.isdigit() or not index.lstrip("0"):
             raise ScenarioValidationError(
                 lineno, column, f"{key}: action index must be a positive integer"
             )
-        return
-    else:  # pragma: no cover - _scan only passes known sections
-        raise AssertionError(section)
-    if key not in allowed:
+    elif key not in _FIXED_KEYS[section]:
         raise UnknownKeyError(lineno, column, f"unknown key {key!r} in [{section}]")
 
 
@@ -508,12 +501,16 @@ def _parse_action(key: str, entry: _Entry) -> MitigationAction:
 def _build_mitigation(
     sections: dict[str, dict[str, _Entry]]
 ) -> tuple[MitigationAction, ...]:
-    indexed = []
+    # digit text without leading zeros orders indices of any length by value, with no int()
+    indexed: dict[str, MitigationAction] = {}
     for key, entry in sections["mitigation"].items():
-        index = int(key[len("action."):])
-        indexed.append((index, _parse_action(key, entry)))
-    indexed.sort(key=lambda pair: pair[0])
-    return tuple(action for _, action in indexed)
+        index = key[len("action."):].lstrip("0")
+        if index in indexed:
+            raise DuplicateKeyError(
+                entry.line, entry.key_column, f"duplicate action index {index} in {key!r}"
+            )
+        indexed[index] = _parse_action(key, entry)
+    return tuple(indexed[index] for index in sorted(indexed, key=lambda i: (len(i), i)))
 
 
 def _build_annualization(
@@ -540,16 +537,11 @@ def _format_number(x: float) -> str:
 
 
 def _action_text(action: MitigationAction) -> str:
-    if isinstance(action, AttackSuccessReduction):
-        return f"AttackSuccessReduction(reduction={_format_number(action.reduction)})"
-    if isinstance(action, DecrypterAvailability):
-        return f"DecrypterAvailability(coverage={_format_number(action.coverage)})"
-    if isinstance(action, BackupAdoption):
-        return (
-            f"BackupAdoption(adoption={_format_number(action.adoption)}, "
-            f"effectiveness={_format_number(action.effectiveness)})"
-        )
-    return "CyberInsurance()"
+    for kind, (_, params, action_type) in _ACTION_KINDS.items():
+        if isinstance(action, action_type):
+            args = ", ".join(f"{p}={_format_number(getattr(action, p))}" for p in params)
+            return f"{kind}({args})"
+    raise TypeError(f"not a mitigation action: {action!r}")
 
 
 def write_scenario(scenario: ScenarioFile) -> str:

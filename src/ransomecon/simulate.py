@@ -75,7 +75,8 @@ def run_trials(econ: AttackEconomics, k: int, *, seed: int, b0: Money = Money(0.
     """Simulate k attacks and return the full trace.
 
     Identical (econ, k, b0, seed) always produces an identical trace,
-    independent of platform or scheduling.
+    independent of platform or scheduling. A bank that leaves the finite
+    binary64 range at any trial raises ValueError.
     """
     k = check_trials(k)
     seed = check_seed(seed)
@@ -83,7 +84,10 @@ def run_trials(econ: AttackEconomics, k: int, *, seed: int, b0: Money = Money(0.
     outcomes = draws < econ.p_win
     cost = econ.cost.total().amount
     profits = np.where(outcomes, econ.ransom.amount - cost, -cost)
-    bank_series = b0.amount + np.cumsum(profits)
+    with np.errstate(over="ignore"):  # reported below as a ValueError
+        bank_series = b0.amount + np.cumsum(profits)
+    if not np.isfinite(bank_series).all():
+        raise ValueError(f"the bank overflows binary64 within {k} trials")
     outcomes.flags.writeable = False
     bank_series.flags.writeable = False
     return TrialTrace(seed=seed, econ=econ, b0=b0, outcomes=outcomes, bank_series=bank_series)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -12,9 +14,12 @@ from ransomecon import (
     break_even_pay_probability,
     break_even_ransom,
     expected_utility,
+    format_money,
+    format_probability,
     payout_multiple,
     reevaluate_row,
     run_sweep,
+    write_sweep_csv,
 )
 from ransomecon.errors import (
     GridTooLargeError,
@@ -233,3 +238,51 @@ class TestRunSweep:
             return tuple(sorted(row.assignment.items())), row.expected_value.amount
 
         assert sorted(map(key, rows_a)) == sorted(map(key, rows_b))
+
+
+class TestSweepOracle:
+    """The sweep against a cell-by-cell evaluation through the domain types.
+
+    Axes are declared out of formula order, the cost axis rescales a base
+    with three nonzero components to totals that the rescaled components
+    do not sum back to exactly, and most values are exact rounding ties
+    (k + 0.125 dollars, odd multiples of 1/128).
+    """
+
+    AXES = (
+        ("p_pay_given_success", (1 / 128, 0.28, 127 / 128)),
+        ("cost_total", (0.0, 1000.625, 1006.375)),
+        ("ransom", (1000.125, 170404.375, 312493.0)),
+        ("p_success", (0.5, 3 / 128, 1.0)),
+    )
+
+    def cells(self):
+        names = [name for name, _ in self.AXES]
+        for combo in itertools.product(*(values for _, values in self.AXES)):
+            a = dict(zip(names, combo))
+            econ = AttackEconomics(
+                Money(a["ransom"]),
+                BASE_COST.scaled_to_total(a["cost_total"]),
+                Probability(a["p_success"]),
+                Probability(a["p_pay_given_success"]),
+            )
+            yield a, expected_utility(econ)
+
+    def test_every_row_matches_expected_utility(self):
+        result = run_sweep(SweepGrid(axes=self.AXES, base=baseline_econ()))
+        oracle = list(self.cells())
+        assert len(result.rows) == len(oracle) == 81
+        for row, (assignment, ev) in zip(result.rows, oracle):
+            assert dict(row.assignment) == assignment
+            assert row.expected_value.amount.hex() == ev.amount.hex()
+
+    def test_csv_matches_cell_by_cell_formatting(self):
+        result = run_sweep(SweepGrid(axes=self.AXES, base=baseline_econ()))
+        lines = [",".join([name for name, _ in self.AXES] + ["expected_value"])]
+        for assignment, ev in self.cells():
+            cells = [
+                format_money(v) if name in ("ransom", "cost_total") else format_probability(v)
+                for name, v in assignment.items()
+            ]
+            lines.append(",".join(cells + [format_money(ev.amount)]))
+        assert write_sweep_csv(result) == "\n".join(lines) + "\n"

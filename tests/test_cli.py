@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -25,6 +26,13 @@ cost.loader = 800
 [defaults]
 paper = true
 """
+
+
+def _huge_doc(ransom, product, p_pay):
+    return (
+        f"[economics]\nransom = {ransom}\ncost.product = {product}\ncost.access = 0\n"
+        f"cost.loader = 0\np_success = 1\np_pay_given_success = {p_pay}\n"
+    )
 
 
 @pytest.fixture
@@ -178,6 +186,25 @@ class TestSimulate:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "doc,trials",
+        [
+            (_huge_doc("1" + "0" * 308, "0", "1"), "2"),
+            # with b0 = 1.7e308 the bank overflows at trial 3 and is finite again at trial 4
+            (
+                _huge_doc("17" + "0" * 307, "1" + "0" * 308, "0.5")
+                + f"\n[simulation]\nb0 = {'17' + '0' * 307}\n",
+                "4",
+            ),
+        ],
+        ids=["final", "midway"],
+    )
+    def test_overflowing_bank_exits_2_without_csv(self, scenario, tmp_path, capsys, doc, trials):
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", str(scenario(doc)), "--trials", trials, "--out", str(out)]) == 2
+        assert "error: the bank overflows binary64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_csv_moves_summary_to_stderr(self, scenario, capsys):
         code = main(["simulate", str(scenario(REFERENCE_DOC)), "--trials", "5", "--out", "-"])
         assert code == 0
@@ -304,6 +331,30 @@ class TestFigure1:
 
 
 class TestInterface:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "figure1"])
+    def test_failed_replace_keeps_old_csv_and_leaves_no_temp_file(
+        self, scenario, tmp_path, capsys, monkeypatch, command
+    ):
+        doc = REFERENCE_DOC + "\n[sweep]\naxis.ransom = {1, 2}\n"
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        old = out_dir / ("figure1_p0.1.csv" if command == "figure1" else "old.csv")
+        old.write_bytes(b"old,bytes\n")
+        args = {
+            "simulate": ["simulate", str(scenario(doc)), "--trials", "5", "--out", str(old)],
+            "sweep": ["sweep", str(scenario(doc)), "--out", str(old)],
+            "figure1": ["figure1", "--out", str(out_dir)],
+        }[command]
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(args) == 4
+        assert "replace refused" in capsys.readouterr().err
+        assert old.read_bytes() == b"old,bytes\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [old.name]
+
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate"]) == 2
 

@@ -300,6 +300,25 @@ class TestMitigationBlock:
         with pytest.raises(ScenarioValidationError, match="positive integer"):
             parse_scenario(REFERENCE_DOC + "\n[mitigation]\naction.0 = CyberInsurance()\n")
 
+    def test_indices_order_by_value_at_any_length(self):
+        doc = REFERENCE_DOC + (
+            "\n[mitigation]\n"
+            f"action.{'1' + '0' * 4300} = CyberInsurance()\n"
+            "action.010 = BackupAdoption(a=1, e=0.5)\n"
+            "action.9 = DecrypterAvailability(coverage=0.5)\n"
+        )
+        assert parse_scenario(doc).mitigation == (
+            DecrypterAvailability(coverage=0.5),
+            BackupAdoption(adoption=1.0, effectiveness=0.5),
+            CyberInsurance(),
+        )
+
+    def test_repeated_index_value(self):
+        doc = REFERENCE_DOC + "\n[mitigation]\naction.1 = CyberInsurance()\n  action.01 = CyberInsurance()\n"
+        with pytest.raises(DuplicateKeyError, match="duplicate action index 1") as info:
+            parse_scenario(doc)
+        assert (info.value.line, info.value.column) == (11, 3)
+
     def test_malformed_action(self):
         with pytest.raises(ScenarioSyntaxError, match="Kind"):
             parse_scenario(REFERENCE_DOC + "\n[mitigation]\naction.1 = CyberInsurance\n")
