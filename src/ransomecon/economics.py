@@ -223,6 +223,10 @@ def expected_bank(b0: Money, k: int, econ: AttackEconomics) -> Money:
 
 
 def per_trial_profit(won: bool, econ: AttackEconomics) -> Money:
-    """Realized profit of one attack: ransom minus cost on a win, bare cost on a loss."""
+    """Realized profit of one attack: ransom minus cost on a win, bare cost on a loss.
+
+    The one definition of the per-trial profit; the simulation and the
+    trace CSV both call it.
+    """
     cost = econ.cost.total().amount
     return Money(econ.ransom.amount - cost if won else -cost)

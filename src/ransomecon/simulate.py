@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .economics import AttackEconomics, CostModel, Money, Probability, check_seed, check_trials
+from .economics import (
+    AttackEconomics,
+    CostModel,
+    Money,
+    Probability,
+    check_seed,
+    check_trials,
+    per_trial_profit,
+)
 
 FIGURE1_RANSOM = 170404.0
 FIGURE1_COST = CostModel(Money(3000.0), Money(400.0), Money(800.0))
@@ -26,6 +34,11 @@ FIGURE1_TRIALS = 1000
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+
+
+def _profits(econ: AttackEconomics, outcomes: np.ndarray) -> np.ndarray:
+    win, loss = (per_trial_profit(won, econ).amount for won in (True, False))
+    return np.where(outcomes, win, loss)
 
 
 def derive_seed(master_seed: int, stream: int) -> int:
@@ -66,9 +79,7 @@ class TrialTrace:
 
     def profits(self) -> np.ndarray:
         """Per-trial profit implied by the outcomes: x - c on a win, -c on a loss."""
-        ransom = self.econ.ransom.amount
-        cost = self.econ.cost.total().amount
-        return np.where(self.outcomes, ransom - cost, -cost)
+        return _profits(self.econ, self.outcomes)
 
 
 def run_trials(econ: AttackEconomics, k: int, *, seed: int, b0: Money = Money(0.0)) -> TrialTrace:
@@ -82,10 +93,8 @@ def run_trials(econ: AttackEconomics, k: int, *, seed: int, b0: Money = Money(0.
     seed = check_seed(seed)
     draws = _generator(seed).random(k)
     outcomes = draws < econ.p_win
-    cost = econ.cost.total().amount
-    profits = np.where(outcomes, econ.ransom.amount - cost, -cost)
     with np.errstate(over="ignore"):  # reported below as a ValueError
-        bank_series = b0.amount + np.cumsum(profits)
+        bank_series = b0.amount + np.cumsum(_profits(econ, outcomes))
     if not np.isfinite(bank_series).all():
         raise ValueError(f"the bank overflows binary64 within {k} trials")
     outcomes.flags.writeable = False

@@ -28,6 +28,18 @@ paper = true
 """
 
 
+# ransom 1e30: values past Decimal's default 28 digits must still format exactly
+BIG_RANSOM_DOC = """\
+[economics]
+ransom = 1000000000000000000000000000000
+cost.product = 1
+cost.access = 1
+cost.loader = 1
+p_success = 0.5
+p_pay_given_success = 0.5
+"""
+
+
 def _huge_doc(ransom, product, p_pay):
     return (
         f"[economics]\nransom = {ransom}\ncost.product = {product}\ncost.access = 0\n"
@@ -85,6 +97,15 @@ class TestEv:
         bad = scenario(REFERENCE_DOC.replace("ransom = 170404", "ransom = 1" + "0" * 400))
         assert main(["ev", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: line 2, column 10: ransom: ")
+
+    def test_31_digit_ransom_formats_exactly(self, scenario, capsys):
+        assert main(["ev", str(scenario(BIG_RANSOM_DOC))]) == 0
+        assert capsys.readouterr().out == (
+            "p_win = 0.250000\n"
+            "expected_value = 250000000000000004971156209664.00\n"
+            "break_even_ransom = 12.00\n"
+            "payout_multiple = 83333333333333329126323388416.0000\n"
+        )
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["ev", str(tmp_path / "nope.txt")]) == 2
@@ -204,6 +225,22 @@ class TestSimulate:
         assert main(["simulate", str(scenario(doc)), "--trials", trials, "--out", str(out)]) == 2
         assert "error: the bank overflows binary64" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_31_digit_ransom_writes_csv(self, scenario, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", str(scenario(BIG_RANSOM_DOC)), "--trials", "3", "--seed", str(0xDEC0DE),
+             "--out", str(out)]
+        )
+        assert code == 0
+        win = "1000000000000000019884624838656.00"  # x - c rounds back to the binary64 nearest 1e30
+        assert out.read_text(encoding="utf-8") == (
+            "trial,outcome,profit,bank\n"
+            "1,0,-3.00,-3.00\n"
+            "2,0,-3.00,-6.00\n"
+            f"3,1,{win},{win}\n"
+        )
+        assert f"final_bank = {win}\n" in capsys.readouterr().out
 
     def test_stdout_csv_moves_summary_to_stderr(self, scenario, capsys):
         code = main(["simulate", str(scenario(REFERENCE_DOC)), "--trials", "5", "--out", "-"])
